@@ -8,6 +8,7 @@
 //! arithmetic operators and parentheses.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::{LikwidError, Result};
 
@@ -15,15 +16,20 @@ use crate::error::{LikwidError, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Formula {
     source: String,
-    expr: Expr,
+    /// A variable is the byte range of its name in `source`.
+    nodes: Vec<Node<Range<usize>>>,
 }
 
+/// One expression node of a formula. The nodes of a formula live in one
+/// vector in post-order: children come before their parent (referenced by
+/// index) and the root is the last node. `V` is how a variable is held —
+/// by name when parsed, by value position once bound.
 #[derive(Debug, Clone, PartialEq)]
-enum Expr {
+enum Node<V> {
     Number(f64),
-    Variable(String),
-    Binary { op: Op, lhs: Box<Expr>, rhs: Box<Expr> },
-    Negate(Box<Expr>),
+    Variable(V),
+    Negate(usize),
+    Binary(Op, usize, usize),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +40,11 @@ enum Op {
     Div,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Token {
     Number(f64),
-    Ident(String),
+    /// An identifier: the byte range of its name in the source.
+    Ident(usize, usize),
     Plus,
     Minus,
     Star,
@@ -48,66 +55,54 @@ enum Token {
 
 fn tokenize(src: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
-    let chars: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' => i += 1,
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token::Minus);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            c if c.is_ascii_digit() || c == '.' => {
+    while i < bytes.len() {
+        let single = match bytes[i] {
+            b' ' | b'\t' => None,
+            b'+' => Some(Token::Plus),
+            b'-' => Some(Token::Minus),
+            b'*' => Some(Token::Star),
+            b'/' => Some(Token::Slash),
+            b'(' => Some(Token::LParen),
+            b')' => Some(Token::RParen),
+            b if b.is_ascii_digit() || b == b'.' => {
                 let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_digit()
-                        || chars[i] == '.'
-                        || chars[i] == 'e'
-                        || chars[i] == 'E'
-                        || ((chars[i] == '+' || chars[i] == '-')
+                while i < bytes.len()
+                    && (bytes[i].is_ascii_digit()
+                        || bytes[i] == b'.'
+                        || bytes[i] == b'e'
+                        || bytes[i] == b'E'
+                        || ((bytes[i] == b'+' || bytes[i] == b'-')
                             && i > start
-                            && (chars[i - 1] == 'e' || chars[i - 1] == 'E')))
+                            && (bytes[i - 1] == b'e' || bytes[i - 1] == b'E')))
                 {
                     i += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
+                let text = &src[start..i];
                 let value = text
                     .parse::<f64>()
                     .map_err(|_| LikwidError::Formula(format!("bad number '{text}'")))?;
                 tokens.push(Token::Number(value));
+                continue;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            b if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                tokens.push(Token::Ident(chars[start..i].iter().collect()));
+                tokens.push(Token::Ident(start, i));
+                continue;
             }
-            other => {
+            _ => {
+                // Every byte consumed so far is ASCII, so `i` is a char
+                // boundary.
+                let other = src[i..].chars().next().expect("i < len");
                 return Err(LikwidError::Formula(format!("unexpected character '{other}'")));
             }
-        }
+        };
+        tokens.extend(single);
+        i += 1;
     }
     Ok(tokens)
 }
@@ -115,23 +110,30 @@ fn tokenize(src: &str) -> Result<Vec<Token>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    nodes: Vec<Node<Range<usize>>>,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<Token> {
+        self.tokens.get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self.tokens.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
+    /// Append a node; returns its index.
+    fn push(&mut self, node: Node<Range<usize>>) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
     /// expression := term (('+' | '-') term)*
-    fn expression(&mut self) -> Result<Expr> {
+    fn expression(&mut self) -> Result<usize> {
         let mut lhs = self.term()?;
         while let Some(op) = match self.peek() {
             Some(Token::Plus) => Some(Op::Add),
@@ -140,13 +142,13 @@ impl Parser {
         } {
             self.next();
             let rhs = self.term()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.push(Node::Binary(op, lhs, rhs));
         }
         Ok(lhs)
     }
 
     /// term := factor (('*' | '/') factor)*
-    fn term(&mut self) -> Result<Expr> {
+    fn term(&mut self) -> Result<usize> {
         let mut lhs = self.factor()?;
         while let Some(op) = match self.peek() {
             Some(Token::Star) => Some(Op::Mul),
@@ -155,17 +157,20 @@ impl Parser {
         } {
             self.next();
             let rhs = self.factor()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.push(Node::Binary(op, lhs, rhs));
         }
         Ok(lhs)
     }
 
     /// factor := '-' factor | number | ident | '(' expression ')'
-    fn factor(&mut self) -> Result<Expr> {
+    fn factor(&mut self) -> Result<usize> {
         match self.next() {
-            Some(Token::Minus) => Ok(Expr::Negate(Box::new(self.factor()?))),
-            Some(Token::Number(v)) => Ok(Expr::Number(v)),
-            Some(Token::Ident(name)) => Ok(Expr::Variable(name)),
+            Some(Token::Minus) => {
+                let inner = self.factor()?;
+                Ok(self.push(Node::Negate(inner)))
+            }
+            Some(Token::Number(v)) => Ok(self.push(Node::Number(v))),
+            Some(Token::Ident(start, end)) => Ok(self.push(Node::Variable(start..end))),
             Some(Token::LParen) => {
                 let inner = self.expression()?;
                 match self.next() {
@@ -185,15 +190,17 @@ impl Formula {
         if tokens.is_empty() {
             return Err(LikwidError::Formula("empty formula".into()));
         }
-        let mut parser = Parser { tokens, pos: 0 };
-        let expr = parser.expression()?;
+        // Every node comes from at least one token.
+        let nodes = Vec::with_capacity(tokens.len());
+        let mut parser = Parser { tokens, pos: 0, nodes };
+        parser.expression()?;
         if parser.pos != parser.tokens.len() {
             return Err(LikwidError::Formula(format!(
                 "trailing input after position {} in '{src}'",
                 parser.pos
             )));
         }
-        Ok(Formula { source: src.to_string(), expr })
+        Ok(Formula { source: src.to_string(), nodes: parser.nodes })
     }
 
     /// The original source text.
@@ -201,58 +208,99 @@ impl Formula {
         &self.source
     }
 
-    /// Variables referenced by the formula.
+    /// Variables referenced by the formula, in order of first appearance.
     pub fn variables(&self) -> Vec<String> {
-        fn collect(expr: &Expr, out: &mut Vec<String>) {
-            match expr {
-                Expr::Variable(name) => {
-                    if !out.contains(name) {
-                        out.push(name.clone());
-                    }
+        let mut out: Vec<String> = Vec::new();
+        for node in &self.nodes {
+            if let Node::Variable(range) = node {
+                let name = &self.source[range.clone()];
+                if !out.iter().any(|seen| seen == name) {
+                    out.push(name.to_string());
                 }
-                Expr::Binary { lhs, rhs, .. } => {
-                    collect(lhs, out);
-                    collect(rhs, out);
-                }
-                Expr::Negate(inner) => collect(inner, out),
-                Expr::Number(_) => {}
             }
         }
-        let mut out = Vec::new();
-        collect(&self.expr, &mut out);
         out
+    }
+
+    /// Resolve every variable against `names`, once: the bound formula then
+    /// evaluates against a slice of values (`values[i]` binds `names[i]`)
+    /// without looking any name up again. A name listed twice binds its
+    /// last position; a variable missing from `names` stays unbound and
+    /// fails evaluation, exactly as [`Formula::evaluate`] does.
+    pub fn bind(&self, names: &[&str]) -> BoundFormula {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Number(v) => Node::Number(*v),
+                Node::Variable(range) => {
+                    let name = &self.source[range.clone()];
+                    Node::Variable(
+                        names.iter().rposition(|n| *n == name).ok_or_else(|| name.to_string()),
+                    )
+                }
+                Node::Negate(inner) => Node::Negate(*inner),
+                Node::Binary(op, lhs, rhs) => Node::Binary(*op, *lhs, *rhs),
+            })
+            .collect();
+        BoundFormula { nodes }
     }
 
     /// Evaluate against variable bindings. Unknown variables are an error;
     /// division by zero yields 0 (matching the real tool's behaviour of
     /// printing 0 for metrics whose events did not fire).
     pub fn evaluate(&self, vars: &HashMap<String, f64>) -> Result<f64> {
-        fn eval(expr: &Expr, vars: &HashMap<String, f64>) -> Result<f64> {
-            Ok(match expr {
-                Expr::Number(v) => *v,
-                Expr::Variable(name) => *vars
-                    .get(name)
-                    .ok_or_else(|| LikwidError::Formula(format!("unbound variable '{name}'")))?,
-                Expr::Negate(inner) => -eval(inner, vars)?,
-                Expr::Binary { op, lhs, rhs } => {
-                    let l = eval(lhs, vars)?;
-                    let r = eval(rhs, vars)?;
-                    match op {
-                        Op::Add => l + r,
-                        Op::Sub => l - r,
-                        Op::Mul => l * r,
-                        Op::Div => {
-                            if r == 0.0 {
-                                0.0
-                            } else {
-                                l / r
-                            }
+        let (names, values): (Vec<&str>, Vec<f64>) =
+            vars.iter().map(|(name, &value)| (name.as_str(), value)).unzip();
+        self.bind(&names).evaluate(&values)
+    }
+}
+
+/// A [`Formula`] whose variables are resolved to value positions (see
+/// [`Formula::bind`]): what a measurement session evaluates per cpu and
+/// interval.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundFormula {
+    /// A variable is its value position, or its name if `bind` found none.
+    nodes: Vec<Node<std::result::Result<usize, String>>>,
+}
+
+impl BoundFormula {
+    /// Evaluate with `values[i]` bound to the `i`-th name given to
+    /// [`Formula::bind`]. An unbound variable (or a position past the end
+    /// of `values`) is an error naming the variable; division by zero
+    /// yields 0.
+    pub fn evaluate(&self, values: &[f64]) -> Result<f64> {
+        self.eval(self.nodes.len() - 1, values)
+    }
+
+    fn eval(&self, node: usize, values: &[f64]) -> Result<f64> {
+        Ok(match &self.nodes[node] {
+            Node::Number(v) => *v,
+            Node::Variable(Ok(slot)) => *values.get(*slot).ok_or_else(|| {
+                LikwidError::Formula(format!("unbound variable at position {slot}"))
+            })?,
+            Node::Variable(Err(name)) => {
+                return Err(LikwidError::Formula(format!("unbound variable '{name}'")))
+            }
+            Node::Negate(inner) => -self.eval(*inner, values)?,
+            Node::Binary(op, lhs, rhs) => {
+                let l = self.eval(*lhs, values)?;
+                let r = self.eval(*rhs, values)?;
+                match op {
+                    Op::Add => l + r,
+                    Op::Sub => l - r,
+                    Op::Mul => l * r,
+                    Op::Div => {
+                        if r == 0.0 {
+                            0.0
+                        } else {
+                            l / r
                         }
                     }
                 }
-            })
-        }
-        eval(&self.expr, vars)
+            }
+        })
     }
 }
 
@@ -378,6 +426,20 @@ mod tests {
         let mut vs = f.variables();
         vs.sort();
         assert_eq!(vs, vec!["A", "B", "C", "D"]);
+    }
+
+    #[test]
+    fn bound_formulas_evaluate_by_position() {
+        let f = Formula::parse("1.0E-06*(PMC0*2.0+PMC1)/time").unwrap();
+        let bound = f.bind(&["PMC0", "PMC1", "inverseClock", "time"]);
+        let by_name = f.evaluate(&vars(&[("PMC0", 8.0e6), ("PMC1", 3.0), ("time", 0.5)])).unwrap();
+        assert_eq!(bound.evaluate(&[8.0e6, 3.0, 1e-9, 0.5]).unwrap().to_bits(), by_name.to_bits());
+        // The last of two equal names wins, as a later map insert would.
+        let twice = Formula::parse("A").unwrap().bind(&["A", "B", "A"]);
+        assert_eq!(twice.evaluate(&[1.0, 2.0, 3.0]).unwrap(), 3.0);
+        // Unbound names fail at evaluation and name the variable.
+        let err = f.bind(&["PMC0", "PMC1"]).evaluate(&[1.0, 2.0]).unwrap_err();
+        assert!(err.to_string().contains("'time'"), "{err}");
     }
 
     #[test]

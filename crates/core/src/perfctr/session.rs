@@ -11,7 +11,7 @@ use likwid_perf_events::{
 use likwid_x86_machine::{MachineError, SimMachine};
 
 use crate::error::{LikwidError, Result};
-use crate::perfctr::formula::Formula;
+use crate::perfctr::formula::{BoundFormula, Formula};
 use crate::perfctr::groups::{group_definition, EventGroupKind, GroupDefinition};
 use crate::report::{Ascii, Body, Render, Report, Row, Section, Table, Value};
 
@@ -98,12 +98,19 @@ pub fn multiplex_note() -> &'static str {
 }
 
 /// One event group resolved against the architecture's event table.
+///
+/// The formulas are parsed and bound once, here: metric evaluation reads
+/// the counter values by slot position. A group's value vector per cpu is
+/// `[count of event 0, …, count of event n-1, inverseClock, time]`.
 #[derive(Debug, Clone)]
 struct ResolvedGroup {
     name: String,
     events: Vec<(String, CounterSlot, EventDefinition)>,
-    time_formula: String,
-    metrics: Vec<(String, String)>,
+    /// Total runtime from the cycle counters, bound to the value vector
+    /// without `time`; `None` when the group has no metrics.
+    time_formula: Option<BoundFormula>,
+    /// Derived metrics, bound to the full value vector.
+    metrics: Vec<(String, BoundFormula)>,
 }
 
 impl ResolvedGroup {
@@ -119,12 +126,22 @@ impl ResolvedGroup {
                     .ok_or_else(|| LikwidError::UnknownEvent(name.to_string()))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(ResolvedGroup {
-            name: def.kind.name().to_string(),
-            events,
-            time_formula: def.time_formula.to_string(),
-            metrics: def.metrics.iter().map(|(n, f)| (n.to_string(), f.to_string())).collect(),
-        })
+        let slot_names: Vec<String> = events.iter().map(|(_, slot, _)| slot.name()).collect();
+        let mut names: Vec<&str> = slot_names.iter().map(String::as_str).collect();
+        names.push("inverseClock");
+        let time_names = names.clone();
+        names.push("time");
+        let (time_formula, metrics) = if def.metrics.is_empty() {
+            (None, Vec::new())
+        } else {
+            let metrics = def
+                .metrics
+                .iter()
+                .map(|(n, f)| Ok((n.to_string(), Formula::parse(f)?.bind(&names))))
+                .collect::<Result<Vec<_>>>()?;
+            (Some(Formula::parse(def.time_formula)?.bind(&time_names)), metrics)
+        };
+        Ok(ResolvedGroup { name: def.kind.name().to_string(), events, time_formula, metrics })
     }
 
     fn from_custom(spec: &[(String, CounterSlot)], table: &EventTable) -> Result<Self> {
@@ -141,7 +158,7 @@ impl ResolvedGroup {
         Ok(ResolvedGroup {
             name: "CUSTOM".to_string(),
             events,
-            time_formula: String::new(),
+            time_formula: None,
             metrics: Vec::new(),
         })
     }
@@ -412,8 +429,10 @@ impl<'m> PerfCtr<'m> {
     fn program_group(&mut self, index: usize) -> Result<()> {
         const MAX_PROGRAM_ATTEMPTS: u32 = 3;
         let group = &self.groups[index];
-        let msr_file = self.machine.msr_file();
         let mut heal = self.heal.borrow_mut();
+        // `(event, cpu position, cpu)` of every counter that took its
+        // programming, for the wide-baseline resync below.
+        let mut programmed_slots = Vec::new();
         'cpus: for (ci, &cpu) in self.cpus.iter().enumerate() {
             if heal.cpu_is_dead(cpu) {
                 continue;
@@ -453,12 +472,7 @@ impl<'m> PerfCtr<'m> {
                     }
                 }
                 if programmed {
-                    // The counter was just zeroed; resynchronise the wide
-                    // (machine-side, unwrapped) baseline used for multi-wrap
-                    // detection.
-                    let (reg, _) = self.slot_meta[index][ei];
-                    heal.slots[index][ei][ci].last_wide =
-                        msr_file.wide_value(cpu, reg).unwrap_or(0);
+                    programmed_slots.push((ei, ci, cpu));
                 } else {
                     heal.slots[index][ei][ci].dead = true;
                     heal.diagnostics.push(Diagnostic {
@@ -471,6 +485,16 @@ impl<'m> PerfCtr<'m> {
                 }
             }
         }
+        // The programmed counters were just zeroed; resynchronise their
+        // wide (machine-side, unwrapped) baselines used for multi-wrap
+        // detection. These are machine-internal reads, done under one
+        // guard; no later device access of this loop wrote those counters.
+        self.machine.msr_file().read_batch(|space| {
+            for (ei, ci, cpu) in programmed_slots {
+                let (reg, _) = self.slot_meta[index][ei];
+                heal.slots[index][ei][ci].last_wide = space.wide_value(cpu, reg).unwrap_or(0);
+            }
+        });
         drop(heal);
         self.active_group = index;
         Ok(())
@@ -545,12 +569,22 @@ impl<'m> PerfCtr<'m> {
             ));
         }
         let group = &self.groups[self.active_group];
-        let msr_file = self.machine.msr_file();
         let mut counts = vec![vec![0u64; self.cpus.len()]; group.events.len()];
+        // The machine-side wide shadows, snapshotted under one guard. Device
+        // reads never change register contents, so the snapshot equals what
+        // a read next to each device access would see.
+        let wides: Vec<Vec<Option<u64>>> = self.machine.msr_file().read_batch(|space| {
+            self.slot_meta[self.active_group]
+                .iter()
+                .map(|&(reg, _)| {
+                    self.cpus.iter().map(|&cpu| space.wide_value(cpu, reg).ok()).collect()
+                })
+                .collect()
+        });
         let mut heal = self.heal.borrow_mut();
         let heal = &mut *heal;
         for (ei, (_, slot, _)) in group.events.iter().enumerate() {
-            let (reg, mask) = self.slot_meta[self.active_group][ei];
+            let (_, mask) = self.slot_meta[self.active_group][ei];
             for (ci, &cpu) in self.cpus.iter().enumerate() {
                 if slot.is_uncore() && !self.owns_socket_lock(cpu) {
                     continue;
@@ -577,7 +611,7 @@ impl<'m> PerfCtr<'m> {
                 // shadow of every counter; a disagreement with the
                 // width-corrected delta means at least one full wrap period
                 // was lost inside this read interval.
-                if let Ok(wide) = msr_file.wide_value(cpu, reg) {
+                if let Some(wide) = wides[ei][ci] {
                     let wide_delta = wide.wrapping_sub(track.last_wide);
                     track.last_wide = wide;
                     if wide_delta != delta && !track.wrap_warned {
@@ -789,32 +823,26 @@ impl<'m> PerfCtr<'m> {
         time_override: Option<f64>,
     ) -> Result<PerfCtrResults> {
         let g = &self.groups[group];
-        let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
-
-        let mut metrics = Vec::new();
-        if !g.metrics.is_empty() {
-            let time_formula = Formula::parse(&g.time_formula)?;
-            let parsed: Vec<(String, Formula)> = g
-                .metrics
-                .iter()
-                .map(|(n, f)| Formula::parse(f).map(|pf| (n.clone(), pf)))
-                .collect::<Result<Vec<_>>>()?;
-            for (name, f) in &parsed {
-                let mut per_cpu = Vec::with_capacity(self.cpus.len());
-                for ci in 0..self.cpus.len() {
-                    let mut vars: HashMap<String, f64> = HashMap::new();
-                    vars.insert("inverseClock".to_string(), inverse_clock);
-                    for (ei, (_, slot, _)) in g.events.iter().enumerate() {
-                        vars.insert(slot.name(), counts[ei][ci] as f64);
-                    }
-                    let time = match time_override {
-                        Some(dt) => dt,
-                        None => time_formula.evaluate(&vars)?,
-                    };
-                    vars.insert("time".to_string(), time);
-                    per_cpu.push(f.evaluate(&vars)?);
+        let n = g.events.len();
+        let mut metrics: Vec<(String, Vec<f64>)> = g
+            .metrics
+            .iter()
+            .map(|(name, _)| (name.clone(), Vec::with_capacity(self.cpus.len())))
+            .collect();
+        if let Some(time_formula) = &g.time_formula {
+            let mut values = vec![0.0; n + 2];
+            values[n] = 1.0 / self.machine.clock().frequency_hz;
+            for ci in 0..self.cpus.len() {
+                for (ei, value) in values[..n].iter_mut().enumerate() {
+                    *value = counts[ei][ci] as f64;
                 }
-                metrics.push((name.clone(), per_cpu));
+                values[n + 1] = match time_override {
+                    Some(dt) => dt,
+                    None => time_formula.evaluate(&values[..=n])?,
+                };
+                for ((_, formula), (_, per_cpu)) in g.metrics.iter().zip(&mut metrics) {
+                    per_cpu.push(formula.evaluate(&values)?);
+                }
             }
         }
 

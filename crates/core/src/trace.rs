@@ -716,6 +716,13 @@ mod tests {
     /// The recorder is process-global; tests that toggle it serialize here.
     static TRACE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Take the serialization lock. A test that fails while holding it
+    /// poisons the mutex; the next test must still run (and report its own
+    /// result), not panic on the poison.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        TRACE_TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn event(category: &'static str, name: &str, ts_ns: u64, tid: u64, phase: Phase) -> TraceEvent {
         TraceEvent { cat: category, name: name.to_string(), ts_ns, tid, phase, args: Vec::new() }
     }
@@ -798,7 +805,7 @@ mod tests {
 
     #[test]
     fn recorder_is_inert_when_disabled() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = serial();
         assert!(!enabled());
         let span = span(cat::CORE, "never-recorded");
         count(cat::CORE, "never-counted", 1);
@@ -811,15 +818,21 @@ mod tests {
 
     #[test]
     fn enabled_recorder_buffers_and_drains_across_threads() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = serial();
         start();
         {
             let _outer = span_with(cat::CORE, || "utest.outer".to_string());
             count(cat::CORE, "utest.counter", 2);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _inner = span_with(cat::CORE, || "utest.inner".to_string());
-                    count(cat::CORE, "utest.counter", 3);
+                    {
+                        let _inner = span_with(cat::CORE, || "utest.inner".to_string());
+                        count(cat::CORE, "utest.counter", 3);
+                    }
+                    // `thread::scope` may return before this thread's
+                    // buffer is flushed by its TLS destructor; drain it
+                    // explicitly so `stop()` sees the events.
+                    flush_thread();
                 });
             });
         }
@@ -846,7 +859,7 @@ mod tests {
 
     #[test]
     fn cli_helpers_validate_the_extension_and_write_the_file() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = serial();
         let spec = trace_flag(ArgSpec::new("t", "t"));
         let parsed = spec.parse(&["--trace".to_string(), "out.xml".to_string()]).unwrap();
         assert!(matches!(begin_cli(&parsed).unwrap_err(), LikwidError::Usage(_)));

@@ -11,6 +11,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser is
+/// recursive descent, so without a cap one socket line of a few hundred
+/// thousand `[` would overflow the handler thread's stack and abort the
+/// whole process; past the cap the document is rejected like any other
+/// malformed input. Every frame and memo file nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -154,9 +161,10 @@ impl JsonValue {
     }
 
     /// Parse one JSON document. Trailing garbage after the value is an
-    /// error (a frame is exactly one value per line).
+    /// error (a frame is exactly one value per line), and so is nesting
+    /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -193,6 +201,8 @@ fn encode_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,8 +231,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -231,6 +241,21 @@ impl<'a> Parser<'a> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to descend
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth >= MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -414,6 +439,26 @@ mod tests {
         let text = frame.encode();
         assert!(!text.contains('\n'), "one frame must fit one NDJSON line");
         assert_eq!(JsonValue::parse(&text).unwrap(), frame);
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the cap, on a small stack: rejected, not a stack overflow.
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let objects = "{\"a\":".repeat(200_000);
+                (
+                    JsonValue::parse(&"[".repeat(200_000)).is_err(),
+                    JsonValue::parse(&objects).is_err(),
+                )
+            })
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), (true, true));
     }
 
     #[test]

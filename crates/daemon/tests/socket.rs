@@ -138,6 +138,45 @@ fn bad_requests_get_typed_error_frames_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_lines_are_rejected_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    with_server("nested", |path| {
+        let stream = UnixStream::connect(path).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        let mut next = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read frame");
+            Frame::from_line(&line).expect("well-formed frame")
+        };
+        assert!(matches!(next(), Frame::Hello { .. }));
+
+        // 200 000 open brackets on one line would overflow the handler's
+        // stack in an uncapped recursive parser and abort the daemon; the
+        // depth cap answers them with a protocol error instead.
+        writer.write_all(format!("{}\n", "[".repeat(200_000)).as_bytes()).expect("send");
+        match next() {
+            Frame::Error { kind, message } => {
+                assert_eq!(kind, "protocol");
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+
+        // The same connection still answers, and the daemon still runs
+        // sessions.
+        writer.write_all(b"{\"cmd\":\"ping\"}\n").expect("send ping");
+        assert!(matches!(next(), Frame::Pong));
+        drop((next, writer));
+        let (mut client, _hello) = SocketClient::connect(path).expect("second client");
+        let accumulator = client.run_session(&request("0", "FLOPS_DP"), |_| {}).expect("runs");
+        accumulator.verify_telescoping().expect("deltas telescope");
+    });
+}
+
+#[test]
 fn concurrent_clients_core_and_uncore() {
     with_server("concurrent", |path| {
         std::thread::scope(|scope| {

@@ -193,6 +193,9 @@ mod tests {
         let forged = fs::read_to_string(&path).unwrap().replace("daxpy", "triad");
         fs::write(&path, forged).unwrap();
         assert!(store.lookup(&points[0]).is_none(), "mismatched spec must read as a miss");
+        // So does a corrupt entry nested far past the parser's depth cap.
+        fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert!(store.lookup(&points[0]).is_none(), "a too-deep entry must read as a miss");
         let _ = fs::remove_dir_all(&dir);
     }
 }

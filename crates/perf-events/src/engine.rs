@@ -10,7 +10,7 @@
 //! wrapper/marker/multiplexing logic of `likwid-perfctr` testable end to
 //! end.
 
-use likwid_x86_machine::{Microarch, Msr, SimMachine, Vendor};
+use likwid_x86_machine::{Microarch, Msr, MsrSpace, SimMachine, Vendor};
 
 use crate::event::EventTable;
 use crate::kinds::{EventSample, HwEventKind};
@@ -36,11 +36,15 @@ impl EventEngine {
 
     /// Credit all programmed and enabled counters of `machine` with the
     /// activity described by `sample`.
+    ///
+    /// Every register access here is machine-internal (the hardware side,
+    /// never seen by a fault plan), so the whole credit runs under one
+    /// exclusive guard of the register space.
     pub fn apply(&self, machine: &SimMachine, sample: &EventSample) {
-        match self.arch.vendor() {
-            Vendor::Intel => self.apply_intel(machine, sample),
-            Vendor::Amd => self.apply_amd(machine, sample),
-        }
+        machine.msr_file().write_batch(|space| match self.arch.vendor() {
+            Vendor::Intel => self.apply_intel(machine, space, sample),
+            Vendor::Amd => self.apply_amd(machine, space, sample),
+        })
     }
 
     fn thread_count(&self, sample: &EventSample, cpu: usize, kind: HwEventKind) -> u64 {
@@ -51,8 +55,7 @@ impl EventEngine {
         sample.sockets.get(socket).map(|s| s.get(kind)).unwrap_or(0)
     }
 
-    fn apply_intel(&self, machine: &SimMachine, sample: &EventSample) {
-        let msr = machine.msr_file();
+    fn apply_intel(&self, machine: &SimMachine, msr: &mut MsrSpace, sample: &EventSample) {
         let num_pmc = self.arch.num_pmc() as u32;
         let num_fixed = self.arch.num_fixed_counters() as u32;
 
@@ -61,10 +64,7 @@ impl EventEngine {
             // gate each counter through its own bit (PMCn through bit n,
             // FIXCn through bit 32+n); older parts only have the per-event
             // enable bits, modeled as an all-ones mask.
-            let global = match msr.read(cpu, Msr::IA32_PERF_GLOBAL_CTRL) {
-                Ok(v) => v,
-                Err(_) => u64::MAX,
-            };
+            let global = msr.read(cpu, Msr::IA32_PERF_GLOBAL_CTRL).unwrap_or(u64::MAX);
 
             for n in 0..num_pmc {
                 let Ok(sel) = msr.read(cpu, Msr::IA32_PERFEVTSEL0 + n) else { continue };
@@ -83,7 +83,7 @@ impl EventEngine {
                     self.thread_count(sample, cpu, event.kind)
                 };
                 if delta > 0 {
-                    let _ = msr.increment(cpu, Msr::IA32_PMC0 + n, delta);
+                    let _ = msr.hardware_increment(cpu, Msr::IA32_PMC0 + n, delta);
                 }
             }
 
@@ -99,7 +99,11 @@ impl EventEngine {
                         if enable != 0 && global & (1 << (32 + n)) != 0 {
                             let delta = self.thread_count(sample, cpu, *kind);
                             if delta > 0 {
-                                let _ = msr.increment(cpu, Msr::IA32_FIXED_CTR0 + n as u32, delta);
+                                let _ = msr.hardware_increment(
+                                    cpu,
+                                    Msr::IA32_FIXED_CTR0 + n as u32,
+                                    delta,
+                                );
                             }
                         }
                     }
@@ -132,7 +136,7 @@ impl EventEngine {
                     };
                     let delta = self.socket_count(sample, socket as usize, event.kind);
                     if delta > 0 {
-                        let _ = msr.increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
+                        let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
                     }
                 }
                 if let Ok(fixed_ctrl) = msr.read(cpu, Msr::MSR_UNCORE_FIXED_CTR_CTRL) {
@@ -140,7 +144,7 @@ impl EventEngine {
                         let delta =
                             self.socket_count(sample, socket as usize, HwEventKind::UncoreCycles);
                         if delta > 0 {
-                            let _ = msr.increment(cpu, Msr::MSR_UNCORE_FIXED_CTR0, delta);
+                            let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_FIXED_CTR0, delta);
                         }
                     }
                 }
@@ -148,8 +152,7 @@ impl EventEngine {
         }
     }
 
-    fn apply_amd(&self, machine: &SimMachine, sample: &EventSample) {
-        let msr = machine.msr_file();
+    fn apply_amd(&self, machine: &SimMachine, msr: &mut MsrSpace, sample: &EventSample) {
         for cpu in 0..machine.num_hw_threads() {
             for n in 0..4u32 {
                 let Ok(sel) = msr.read(cpu, Msr::AMD_PERFEVTSEL0 + n) else { continue };
@@ -166,7 +169,7 @@ impl EventEngine {
                     self.thread_count(sample, cpu, event.kind)
                 };
                 if delta > 0 {
-                    let _ = msr.increment(cpu, Msr::AMD_PMC0 + n, delta);
+                    let _ = msr.hardware_increment(cpu, Msr::AMD_PMC0 + n, delta);
                 }
             }
         }

@@ -7,8 +7,6 @@
 //! thread the core-local quantities, per socket the uncore quantities. The
 //! counting engine then credits whatever counters are programmed.
 
-use std::collections::HashMap;
-
 /// Microarchitectural quantities the simulated hardware can count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HwEventKind {
@@ -65,6 +63,39 @@ pub enum HwEventKind {
 }
 
 impl HwEventKind {
+    /// Number of kinds: the length of an [`EventRecord`].
+    pub const COUNT: usize = 25;
+
+    /// Every kind, in declaration order (the index order of an
+    /// [`EventRecord`]).
+    pub const ALL: [HwEventKind; HwEventKind::COUNT] = [
+        HwEventKind::InstructionsRetired,
+        HwEventKind::CoreCycles,
+        HwEventKind::ReferenceCycles,
+        HwEventKind::SimdPackedDouble,
+        HwEventKind::SimdScalarDouble,
+        HwEventKind::SimdPackedSingle,
+        HwEventKind::SimdScalarSingle,
+        HwEventKind::LoadsRetired,
+        HwEventKind::StoresRetired,
+        HwEventKind::BranchesRetired,
+        HwEventKind::BranchMispredictions,
+        HwEventKind::DtlbMisses,
+        HwEventKind::L1Accesses,
+        HwEventKind::L1Misses,
+        HwEventKind::L2Accesses,
+        HwEventKind::L2Misses,
+        HwEventKind::L2LinesIn,
+        HwEventKind::L2LinesOut,
+        HwEventKind::L3Accesses,
+        HwEventKind::L3Misses,
+        HwEventKind::L3LinesIn,
+        HwEventKind::L3LinesOut,
+        HwEventKind::MemoryReads,
+        HwEventKind::MemoryWrites,
+        HwEventKind::UncoreCycles,
+    ];
+
     /// Whether this quantity lives in the uncore (per package) rather than
     /// in a core.
     pub fn is_uncore(self) -> bool {
@@ -81,13 +112,21 @@ impl HwEventKind {
     }
 }
 
-/// Core-local event quantities of one hardware thread over a sample period.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadEventRecord {
-    counts: HashMap<HwEventKind, u64>,
+/// Event quantities of one hardware thread (core-local kinds) or one socket
+/// (uncore kinds) over a sample period: one count per [`HwEventKind`],
+/// indexed by the kind, zero unless set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventRecord {
+    counts: [u64; HwEventKind::COUNT],
 }
 
-impl ThreadEventRecord {
+/// The record of one hardware thread.
+pub type ThreadEventRecord = EventRecord;
+
+/// The record of one socket's uncore.
+pub type SocketEventRecord = EventRecord;
+
+impl EventRecord {
     /// Empty record.
     pub fn new() -> Self {
         Self::default()
@@ -95,59 +134,31 @@ impl ThreadEventRecord {
 
     /// Set the count of a kind (overwrites).
     pub fn set(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        self.counts.insert(kind, value);
+        self.counts[kind as usize] = value;
         self
     }
 
     /// Add to the count of a kind.
     pub fn add(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        *self.counts.entry(kind).or_insert(0) += value;
+        self.counts[kind as usize] += value;
         self
     }
 
     /// The count of a kind (0 if never set).
     pub fn get(&self, kind: HwEventKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind as usize]
     }
 
-    /// Iterate over all non-zero kinds.
+    /// Iterate over all non-zero kinds, in [`HwEventKind::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (HwEventKind, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-}
-
-/// Uncore event quantities of one socket over a sample period.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SocketEventRecord {
-    counts: HashMap<HwEventKind, u64>,
-}
-
-impl SocketEventRecord {
-    /// Empty record.
-    pub fn new() -> Self {
-        Self::default()
+        HwEventKind::ALL.into_iter().zip(self.counts).filter(|&(_, v)| v != 0)
     }
 
-    /// Set the count of a kind (overwrites).
-    pub fn set(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        self.counts.insert(kind, value);
-        self
-    }
-
-    /// Add to the count of a kind.
-    pub fn add(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        *self.counts.entry(kind).or_insert(0) += value;
-        self
-    }
-
-    /// The count of a kind (0 if never set).
-    pub fn get(&self, kind: HwEventKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Iterate over all non-zero kinds.
-    pub fn iter(&self) -> impl Iterator<Item = (HwEventKind, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+    /// Add every count of `other` into this record.
+    fn merge(&mut self, other: &EventRecord) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -180,14 +191,10 @@ impl EventSample {
             self.sockets.resize(other.sockets.len(), SocketEventRecord::default());
         }
         for (mine, theirs) in self.threads.iter_mut().zip(&other.threads) {
-            for (kind, value) in theirs.iter() {
-                mine.add(kind, value);
-            }
+            mine.merge(theirs);
         }
         for (mine, theirs) in self.sockets.iter_mut().zip(&other.sockets) {
-            for (&kind, &value) in theirs.counts.iter() {
-                mine.add(kind, value);
-            }
+            mine.merge(theirs);
         }
     }
 }
@@ -211,6 +218,42 @@ mod tests {
         r.add(HwEventKind::InstructionsRetired, 50);
         assert_eq!(r.get(HwEventKind::InstructionsRetired), 150);
         assert_eq!(r.get(HwEventKind::CoreCycles), 0);
+    }
+
+    #[test]
+    fn all_lists_every_kind_at_its_index() {
+        for (index, kind) in HwEventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "{kind:?}");
+        }
+        assert_eq!(HwEventKind::UncoreCycles as usize + 1, HwEventKind::COUNT);
+    }
+
+    #[test]
+    fn iter_yields_only_non_zero_kinds_in_kind_order() {
+        let mut r = ThreadEventRecord::new();
+        r.set(HwEventKind::L2Misses, 4);
+        r.set(HwEventKind::CoreCycles, 0);
+        r.add(HwEventKind::InstructionsRetired, 0);
+        r.add(HwEventKind::CoreCycles, 9);
+        r.set(HwEventKind::UncoreCycles, 7).set(HwEventKind::UncoreCycles, 0);
+        let seen: Vec<(HwEventKind, u64)> = r.iter().collect();
+        assert_eq!(seen, vec![(HwEventKind::CoreCycles, 9), (HwEventKind::L2Misses, 4)]);
+        assert_eq!(SocketEventRecord::new().iter().count(), 0, "set-to-zero is not yielded");
+    }
+
+    #[test]
+    fn records_with_equal_counts_compare_equal() {
+        let mut stored_zero = ThreadEventRecord::new();
+        stored_zero.set(HwEventKind::LoadsRetired, 0).add(HwEventKind::DtlbMisses, 0);
+        assert_eq!(stored_zero, ThreadEventRecord::new());
+        let mut a = SocketEventRecord::new();
+        a.add(HwEventKind::L3LinesIn, 3).add(HwEventKind::MemoryReads, 0);
+        let mut b = SocketEventRecord::new();
+        b.set(HwEventKind::L3LinesIn, 3);
+        assert_eq!(a, b);
+        let mut sample = EventSample::new(1, 1);
+        sample.threads[0].set(HwEventKind::CoreCycles, 0);
+        assert_eq!(sample, EventSample::new(1, 1));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use error::{MachineError, Result};
 pub use fault::{FaultPlan, TransientSpec, MAX_CONSECUTIVE_LIMIT};
 pub use features::{CpuFeature, FeatureState, MiscEnable, Prefetcher};
 pub use machine::SimMachine;
-pub use msr::{Msr, MsrDevice, MsrFile, MsrPermission};
+pub use msr::{Msr, MsrDevice, MsrFile, MsrPermission, MsrSpace};
 pub use presets::MachinePreset;
 pub use topology::{HwThread, HwThreadId, NumaNode, TopologySpec};
 pub use vendor::{Microarch, Vendor};

@@ -15,7 +15,7 @@
 //! and for the prefetcher bits in `IA32_MISC_ENABLE` (core scope) that
 //! `likwid-features` toggles.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -126,18 +126,26 @@ impl MsrDescriptor {
     }
 }
 
-/// The machine-wide MSR state: descriptors plus storage per scope instance.
+/// One implemented register: its descriptor and its storage, one slot per
+/// scope instance (thread index, global core index, or socket index).
+#[derive(Debug)]
+struct Register {
+    desc: MsrDescriptor,
+    /// Width-masked values, as `rdmsr` sees them.
+    values: Vec<u64>,
+    /// Full-64-bit shadow: counters wrap at their architectural width in
+    /// `values`, while the shadow accumulates the true total — the
+    /// wide-counter reference that overflow-correction tests and
+    /// multi-wrap diagnostics compare against.
+    wide: Vec<u64>,
+}
+
+/// The machine-wide MSR state: one address-sorted register table, so every
+/// access is a single binary search over a few dozen entries.
 #[derive(Debug)]
 pub struct MsrSpace {
-    descriptors: HashMap<u32, MsrDescriptor>,
-    /// Storage: for each MSR address, a vector indexed by the scope-instance
-    /// number (thread index, global core index, or socket index).
-    values: HashMap<u32, Vec<u64>>,
-    /// Full-64-bit shadow of every register: counters wrap at their
-    /// architectural width in `values`, while the shadow accumulates the
-    /// true total — the wide-counter reference that overflow-correction
-    /// tests and multi-wrap diagnostics compare against.
-    wide: HashMap<u32, Vec<u64>>,
+    /// Implemented registers, sorted by address.
+    registers: Vec<Register>,
     /// For mapping hardware threads to scope instances.
     thread_core: Vec<usize>,
     thread_socket: Vec<usize>,
@@ -159,73 +167,75 @@ impl MsrSpace {
         let num_cores = topo.num_cores();
         let num_sockets = topo.sockets as usize;
 
-        let mut space = MsrSpace {
-            descriptors: HashMap::new(),
-            values: HashMap::new(),
-            wide: HashMap::new(),
-            thread_core,
-            thread_socket,
-            num_threads,
-            faults: None,
-        };
-        for desc in register_map(arch) {
-            let instances = match desc.scope {
-                MsrScope::Thread => num_threads,
-                MsrScope::Core => num_cores,
-                MsrScope::Package => num_sockets,
-            };
-            space.values.insert(desc.address, vec![desc.reset_value; instances]);
-            space.wide.insert(desc.address, vec![desc.reset_value; instances]);
-            space.descriptors.insert(desc.address, desc);
-        }
-        space
+        // Keyed by address: sorted, and a repeated address keeps its last
+        // descriptor.
+        let by_address: BTreeMap<u32, MsrDescriptor> =
+            register_map(arch).into_iter().map(|desc| (desc.address, desc)).collect();
+        let registers = by_address
+            .into_values()
+            .map(|desc| {
+                let instances = match desc.scope {
+                    MsrScope::Thread => num_threads,
+                    MsrScope::Core => num_cores,
+                    MsrScope::Package => num_sockets,
+                };
+                let values = vec![desc.reset_value; instances];
+                Register { wide: values.clone(), values, desc }
+            })
+            .collect();
+        MsrSpace { registers, thread_core, thread_socket, num_threads, faults: None }
     }
 
-    fn instance(&self, desc: &MsrDescriptor, cpu: usize) -> usize {
-        match desc.scope {
+    /// Find the register behind `(cpu, address)`: its table index and the
+    /// scope instance `cpu` sees. An invalid cpu is reported before an
+    /// unknown address.
+    fn locate(&self, cpu: usize, address: u32) -> Result<(usize, usize)> {
+        if cpu >= self.num_threads {
+            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
+        }
+        let index = self
+            .registers
+            .binary_search_by_key(&address, |r| r.desc.address)
+            .map_err(|_| MachineError::UnknownMsr { cpu, address })?;
+        let instance = match self.registers[index].desc.scope {
             MsrScope::Thread => cpu,
             MsrScope::Core => self.thread_core[cpu],
             MsrScope::Package => self.thread_socket[cpu],
-        }
+        };
+        Ok((index, instance))
     }
 
     /// Read an MSR as seen from hardware thread `cpu`.
     pub fn read(&self, cpu: usize, address: u32) -> Result<u64> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
+        let (index, instance) = self.locate(cpu, address)?;
+        let reg = &self.registers[index];
+        Ok(reg.values[instance] & reg.desc.value_mask())
+    }
+
+    /// The register behind a `wrmsr` from `cpu`, if it accepts writes at all.
+    fn locate_writable(&self, cpu: usize, address: u32) -> Result<(usize, usize)> {
+        let (index, instance) = self.locate(cpu, address)?;
+        if !self.registers[index].desc.writable {
+            return Err(MachineError::ReadOnlyMsr { cpu, address });
         }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let idx = self.instance(desc, cpu);
-        Ok(self.values[&address][idx] & desc.value_mask())
+        Ok((index, instance))
     }
 
     /// Write an MSR as seen from hardware thread `cpu`.
     pub fn write(&mut self, cpu: usize, address: u32, value: u64) -> Result<()> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        if !desc.writable {
-            return Err(MachineError::ReadOnlyMsr { cpu, address });
-        }
-        if value & desc.reserved_mask != 0 {
+        let (index, instance) = self.locate_writable(cpu, address)?;
+        let reg = &mut self.registers[index];
+        if value & reg.desc.reserved_mask != 0 {
             return Err(MachineError::ReservedBits {
                 cpu,
                 address,
                 value,
-                reserved_mask: desc.reserved_mask,
+                reserved_mask: reg.desc.reserved_mask,
             });
         }
-        let mask = desc.value_mask();
-        let idx = self.instance(desc, cpu);
-        if let Some(slot) = self.values.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = value & mask;
-        }
-        if let Some(slot) = self.wide.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = value & mask;
-        }
+        let value = value & reg.desc.value_mask();
+        reg.values[instance] = value;
+        reg.wide[instance] = value;
         Ok(())
     }
 
@@ -248,16 +258,7 @@ impl MsrSpace {
             if faults.is_stuck(cpu, address) {
                 // Validate as usual so stuck registers do not also change
                 // the error surface, then drop the value on the floor.
-                if cpu >= self.num_threads {
-                    return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-                }
-                let desc = self
-                    .descriptors
-                    .get(&address)
-                    .ok_or(MachineError::UnknownMsr { cpu, address })?;
-                if !desc.writable {
-                    return Err(MachineError::ReadOnlyMsr { cpu, address });
-                }
+                self.locate_writable(cpu, address)?;
                 return Ok(());
             }
         }
@@ -269,20 +270,17 @@ impl MsrSpace {
     pub fn attach_faults(&mut self, plan: FaultPlan) {
         if plan.dirty {
             let seed = plan.seed;
-            for (&address, desc) in &self.descriptors {
-                if !desc.writable || !is_perf_register(address) {
+            for reg in &mut self.registers {
+                let desc = &reg.desc;
+                if !desc.writable || !is_perf_register(desc.address) {
                     continue;
                 }
                 let mask = desc.value_mask() & !desc.reserved_mask;
-                if let Some(values) = self.values.get_mut(&address) {
-                    for (instance, slot) in values.iter_mut().enumerate() {
-                        *slot = dirty_value(seed, address, instance) & mask;
-                    }
-                }
-                if let Some(wide) = self.wide.get_mut(&address) {
-                    for (instance, slot) in wide.iter_mut().enumerate() {
-                        *slot = dirty_value(seed, address, instance) & mask;
-                    }
+                for (instance, (value, wide)) in
+                    reg.values.iter_mut().zip(&mut reg.wide).enumerate()
+                {
+                    *value = dirty_value(seed, desc.address, instance) & mask;
+                    *wide = *value;
                 }
             }
         }
@@ -299,43 +297,28 @@ impl MsrSpace {
     /// faults — this is the machine-side ground truth that wraparound
     /// corrections are validated against.
     pub fn wide_value(&self, cpu: usize, address: u32) -> Result<u64> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let idx = self.instance(desc, cpu);
-        Ok(self.wide[&address][idx])
+        let (index, instance) = self.locate(cpu, address)?;
+        Ok(self.registers[index].wide[instance])
     }
 
     /// Whether an MSR address is implemented.
     pub fn has_register(&self, address: u32) -> bool {
-        self.descriptors.contains_key(&address)
+        self.registers.binary_search_by_key(&address, |r| r.desc.address).is_ok()
     }
 
     /// All implemented MSR addresses (sorted), useful for diagnostics.
     pub fn known_registers(&self) -> Vec<u32> {
-        let mut addrs: Vec<u32> = self.descriptors.keys().copied().collect();
-        addrs.sort_unstable();
-        addrs
+        self.registers.iter().map(|r| r.desc.address).collect()
     }
 
     /// Internal hook used by the counting engine: add to a counter register
     /// without permission checks (hardware increments are not `wrmsr`s).
     pub fn hardware_increment(&mut self, cpu: usize, address: u32, delta: u64) -> Result<()> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let mask = desc.value_mask();
-        let idx = self.instance(desc, cpu);
-        if let Some(slot) = self.values.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = (*slot).wrapping_add(delta) & mask;
-        }
-        if let Some(slot) = self.wide.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = (*slot).wrapping_add(delta);
-        }
+        let (index, instance) = self.locate(cpu, address)?;
+        let reg = &mut self.registers[index];
+        let mask = reg.desc.value_mask();
+        reg.values[instance] = reg.values[instance].wrapping_add(delta) & mask;
+        reg.wide[instance] = reg.wide[instance].wrapping_add(delta);
         Ok(())
     }
 }
@@ -435,11 +418,18 @@ impl MsrFile {
         self.space.write().hardware_increment(cpu, address, delta)
     }
 
-    /// The width-unlimited shadow value of a counter register — the
-    /// machine-side ground truth for wraparound diagnostics (see
-    /// [`MsrSpace::wide_value`]).
-    pub fn wide_value(&self, cpu: usize, address: u32) -> Result<u64> {
-        self.space.read().wide_value(cpu, address)
+    /// Run a batch of machine-internal reads under one shared guard: one
+    /// lock acquisition instead of one per register. `f` must not touch an
+    /// [`MsrDevice`] of the same machine (that would re-enter the lock).
+    pub fn read_batch<R>(&self, f: impl FnOnce(&MsrSpace) -> R) -> R {
+        f(&self.space.read())
+    }
+
+    /// Run a batch of machine-internal reads, writes and increments under
+    /// one exclusive guard — how the counting engine credits a whole
+    /// sample. The same re-entrancy rule as [`MsrFile::read_batch`] holds.
+    pub fn write_batch<R>(&self, f: impl FnOnce(&mut MsrSpace) -> R) -> R {
+        f(&mut self.space.write())
     }
 
     /// Shared space handle (for constructing devices).

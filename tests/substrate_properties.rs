@@ -1,6 +1,8 @@
 //! Property-based tests over the substrate crates: invariants that must
 //! hold for arbitrary inputs, not just the machines of the paper.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
 use likwid_suite::affinity::{parse_pin_list, PthreadPinner, SkipMask};
@@ -10,7 +12,9 @@ use likwid_suite::cache_sim::{
 };
 use likwid_suite::likwid::perfctr::Formula;
 use likwid_suite::likwid::topology::CpuTopology;
-use likwid_suite::x86_machine::{MachinePreset, SimMachine};
+use likwid_suite::x86_machine::msr::{register_map, MsrDescriptor, MsrScope, MsrSpace};
+use likwid_suite::x86_machine::topology::EnumerationOrder;
+use likwid_suite::x86_machine::{MachineError, MachinePreset, Microarch, SimMachine, TopologySpec};
 
 /// A small synthetic hierarchy for property runs.
 fn tiny_hierarchy(prefetch_on: bool) -> HierarchyConfig {
@@ -142,5 +146,166 @@ fn decoded_topology_matches_ground_truth_everywhere() {
         assert_eq!(probed.cores_per_socket, truth.cores_per_socket);
         assert_eq!(probed.threads_per_core, truth.threads_per_core);
         assert_eq!(probed.hw_threads.len(), truth.num_hw_threads());
+    }
+}
+
+/// Reference model of one machine's MSR space: the descriptors and the
+/// `(narrow, wide)` value pair of every `(address, scope instance)` in plain
+/// ordered maps, with each rule of the register file spelled out directly.
+struct MsrModel {
+    descriptors: BTreeMap<u32, MsrDescriptor>,
+    cells: BTreeMap<(u32, usize), (u64, u64)>,
+    thread_core: Vec<usize>,
+    thread_socket: Vec<usize>,
+}
+
+impl MsrModel {
+    fn new(arch: Microarch, topo: &TopologySpec) -> Self {
+        MsrModel {
+            descriptors: register_map(arch).into_iter().map(|d| (d.address, d)).collect(),
+            cells: BTreeMap::new(),
+            thread_core: topo
+                .hw_threads
+                .iter()
+                .map(|t| (t.socket * topo.cores_per_socket + t.core_index) as usize)
+                .collect(),
+            thread_socket: topo.hw_threads.iter().map(|t| t.socket as usize).collect(),
+        }
+    }
+
+    /// The descriptor, cell key and current cell of `(cpu, address)`.
+    fn cell(
+        &self,
+        cpu: usize,
+        address: u32,
+    ) -> Result<(MsrDescriptor, (u32, usize), (u64, u64)), MachineError> {
+        let available = self.thread_core.len();
+        if cpu >= available {
+            return Err(MachineError::NoSuchCpu { cpu, available });
+        }
+        let desc =
+            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
+        let instance = match desc.scope {
+            MsrScope::Thread => cpu,
+            MsrScope::Core => self.thread_core[cpu],
+            MsrScope::Package => self.thread_socket[cpu],
+        };
+        let key = (address, instance);
+        let cell = self.cells.get(&key).copied().unwrap_or((desc.reset_value, desc.reset_value));
+        Ok((desc.clone(), key, cell))
+    }
+
+    fn mask(desc: &MsrDescriptor) -> u64 {
+        if desc.width >= 64 {
+            u64::MAX
+        } else {
+            (1 << desc.width) - 1
+        }
+    }
+
+    fn read(&self, cpu: usize, address: u32) -> Result<u64, MachineError> {
+        self.cell(cpu, address).map(|(desc, _, (narrow, _))| narrow & Self::mask(&desc))
+    }
+
+    fn wide_value(&self, cpu: usize, address: u32) -> Result<u64, MachineError> {
+        self.cell(cpu, address).map(|(_, _, (_, wide))| wide)
+    }
+
+    fn write(&mut self, cpu: usize, address: u32, value: u64) -> Result<(), MachineError> {
+        let (desc, key, _) = self.cell(cpu, address)?;
+        if !desc.writable {
+            return Err(MachineError::ReadOnlyMsr { cpu, address });
+        }
+        if value & desc.reserved_mask != 0 {
+            let reserved_mask = desc.reserved_mask;
+            return Err(MachineError::ReservedBits { cpu, address, value, reserved_mask });
+        }
+        let value = value & Self::mask(&desc);
+        self.cells.insert(key, (value, value));
+        Ok(())
+    }
+
+    fn increment(&mut self, cpu: usize, address: u32, delta: u64) -> Result<(), MachineError> {
+        let (desc, key, (narrow, wide)) = self.cell(cpu, address)?;
+        let narrow = narrow.wrapping_add(delta) & Self::mask(&desc);
+        self.cells.insert(key, (narrow, wide.wrapping_add(delta)));
+        Ok(())
+    }
+}
+
+/// Every address any architecture implements, plus neighbours that no
+/// architecture does.
+fn msr_candidate_addresses() -> Vec<u32> {
+    let mut addresses: BTreeSet<u32> = Microarch::all()
+        .iter()
+        .flat_map(|&arch| register_map(arch).into_iter().map(|d| d.address))
+        .collect();
+    addresses.extend([0, 0x11, 0x185, 0x3FF, 0xDEAD, 0xC001_0008, u32::MAX]);
+    addresses.into_iter().collect()
+}
+
+/// The operand of a write or increment: small, counter-sized, near a
+/// counter width (to wrap), or arbitrary (to hit reserved bits).
+fn msr_operand(shape: u8, raw: u64) -> u64 {
+    match shape {
+        0 => raw & 0xFFFF,
+        1 => raw & 0xFFFF_FFFF,
+        2 => ((1u64 << [40, 44, 48][(raw % 3) as usize]) - 1).wrapping_sub(raw & 0xF),
+        _ => raw,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The address-sorted register table behaves exactly like a plain
+    /// ordered-map model on every architecture's register map: values,
+    /// wide shadows, scope sharing and every error variant.
+    #[test]
+    fn msr_space_matches_an_ordered_map_model(
+        arch in prop::sample::select(Microarch::all().to_vec()),
+        order in prop::sample::select(vec![
+            EnumerationOrder::SmtLast,
+            EnumerationOrder::SocketsFirstSmtAdjacent,
+            EnumerationOrder::RoundRobinSockets,
+        ]),
+        ops in prop::collection::vec(
+            (0u8..4, 0usize..10, prop::sample::select(msr_candidate_addresses()), 0u8..4, 0u64..u64::MAX),
+            1..300,
+        ),
+    ) {
+        let topo = TopologySpec::new(2, 2, 2, None, order, 1 << 30).unwrap();
+        let mut space = MsrSpace::new(arch, &topo);
+        let mut model = MsrModel::new(arch, &topo);
+
+        let known = space.known_registers();
+        prop_assert!(known.windows(2).all(|w| w[0] < w[1]), "{arch:?}: not strictly sorted");
+        prop_assert_eq!(&known, &model.descriptors.keys().copied().collect::<Vec<u32>>());
+        for address in msr_candidate_addresses() {
+            prop_assert_eq!(space.has_register(address), model.descriptors.contains_key(&address));
+        }
+
+        for (op, cpu, address, shape, raw) in ops {
+            let value = msr_operand(shape, raw);
+            match op {
+                0 => prop_assert_eq!(space.read(cpu, address), model.read(cpu, address)),
+                1 => prop_assert_eq!(
+                    space.write(cpu, address, value),
+                    model.write(cpu, address, value)
+                ),
+                2 => prop_assert_eq!(
+                    space.hardware_increment(cpu, address, value),
+                    model.increment(cpu, address, value)
+                ),
+                _ => prop_assert_eq!(space.wide_value(cpu, address), model.wide_value(cpu, address)),
+            }
+        }
+        // Final state: every register on every cpu (and one cpu past the end).
+        for cpu in 0..=topo.num_hw_threads() {
+            for &address in &known {
+                prop_assert_eq!(space.read(cpu, address), model.read(cpu, address));
+                prop_assert_eq!(space.wide_value(cpu, address), model.wide_value(cpu, address));
+            }
+        }
     }
 }
